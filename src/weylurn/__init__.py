@@ -12,9 +12,6 @@ from .algebra import (
     Process,
     Word,
     X,
-    act_normal_form,
-    act_process,
-    act_word,
     double_dot,
     normal_order,
     normal_order_word,
@@ -69,9 +66,6 @@ __all__ = [
     "UndefinedRowError",
     "Word",
     "X",
-    "act_normal_form",
-    "act_process",
-    "act_word",
     "apply_operator",
     "apply_shifted",
     "as_fraction",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, lcm
 
 from .poly import BiPoly, as_fraction
 
@@ -22,9 +22,6 @@ __all__ = [
     "Process",
     "Word",
     "X",
-    "act_normal_form",
-    "act_process",
-    "act_word",
     "double_dot",
     "normal_order",
     "normal_order_word",
@@ -168,6 +165,11 @@ class Process:
         return f"Process({{{body}}})"
 
     @property
+    def weight_scale(self) -> int:
+        """Smallest positive integer that makes every weight an integer."""
+        return lcm(1, *(weight.denominator for weight in self.terms.values()))
+
+    @property
     def max_word_len(self) -> int:
         """Length of the longest word, 0 for the zero process."""
         return max((len(w) for w in self.terms), default=0)
@@ -246,45 +248,3 @@ def weyl_closed_form(l: int, k: int) -> NormalForm:
     return BiPoly(
         {(k - j, l - j): comb(l, j) * comb(k, j) * factorial(j) for j in range(min(k, l) + 1)}
     )
-
-
-def act_word(w: Word, poly: Mapping[int, object]) -> dict[int, Fraction]:
-    """Act on a polynomial {exponent: coefficient} in the urn variable,
-    rightmost generator first: D x^m = m x^(m-1), X x^m = x^(m+1)."""
-    cur = {int(e): as_fraction(c) for e, c in poly.items() if c}
-    for gen in reversed(w.letters):
-        if gen == "X":
-            cur = {e + 1: c for e, c in cur.items()}
-        else:
-            cur = {e - 1: e * c for e, c in cur.items() if e}
-    return cur
-
-
-def act_process(h: Process, poly: Mapping[int, object]) -> dict[int, Fraction]:
-    """Weighted sum of act_word over the terms of h."""
-    out: dict[int, Fraction] = {}
-    for word, weight in h.terms.items():
-        for e, c in act_word(word, poly).items():
-            s = out.get(e, _ZERO) + weight * c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
-
-
-def act_normal_form(nf: NormalForm, poly: Mapping[int, object]) -> dict[int, Fraction]:
-    """Act with sum c[k,l] X^k D^l:  X^k D^l x^m = m!/(m-l)! x^(m-l+k),
-    zero when l > m (the falling factorial vanishes)."""
-    out: dict[int, Fraction] = {}
-    for (k, l), c in nf.coeffs.items():
-        for e, pc in poly.items():
-            ff = perm(int(e), l)
-            if ff and pc:
-                key = int(e) - l + k
-                s = out.get(key, _ZERO) + c * as_fraction(pc) * ff
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-    return out

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import lcm
 
 import click
 
@@ -181,7 +180,7 @@ def cmd_histories(expr: str, steps: int, l_range: str, oracle: bool, budget: int
     result: dict = {"n": steps, "rows": rows}
 
     if oracle:
-        scale = lcm(*(w.denominator for w in process.terms.values()), 1)
+        scale = process.weight_scale
         agreement = True
         try:
             for l in l_values:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .algebra import Process, act_process
-from .poly import BiPoly, as_fraction
+from .algebra import Process
+from .poly import BiPoly, act_process, as_fraction, compile_process
 
 __all__ = [
     "BudgetExceededError",
@@ -81,13 +81,17 @@ def count_by_operator(h: Process, n: int, l: int) -> dict[int, Fraction]:
 
     The coefficient of x^k after applying h to x^l n times is the number
     of n-step histories from l to k balls (rational when weights are).
+    The action runs on integers, with weights scaled by h.weight_scale,
+    and the counts are divided by weight_scale**n once at the end.
     """
     if n < 0 or l < 0:
         raise ValueError("n and l must be nonnegative")
-    cur: dict[int, Fraction] = {l: Fraction(1)}
+    program, scale = compile_process(h)
+    cur = {(l, 0): 1}
     for _ in range(n):
-        cur = act_process(h, cur)
-    return cur
+        cur = act_process(program, cur)
+    denominator = scale**n
+    return {k: Fraction(c, denominator) for (k, _), c in cur.items()}
 
 
 def count_by_search(
@@ -123,38 +127,58 @@ def count_by_search(
             )
         programs.extend([word.letters[::-1]] * int(scaled))
 
+    if n == 0:
+        return {l: 1}
     counts: dict[int, int] = {}
     urn = list(range(l))
-    state = [l, 0]  # next fresh label, nodes visited
-
-    def run_ops(ops: str, idx: int, steps_left: int) -> None:
-        state[1] += 1
-        if state[1] > budget:
-            raise BudgetExceededError(budget)
-        if idx == len(ops):
-            take_step(steps_left)
-            return
-        if ops[idx] == "X":
-            urn.append(state[0])
-            state[0] += 1
-            run_ops(ops, idx + 1, steps_left)
-            state[0] -= 1
-            urn.pop()
-        else:
-            # one branch per ball; an empty urn kills the branch entirely
-            for pos in range(len(urn)):
-                ball = urn.pop(pos)
-                run_ops(ops, idx + 1, steps_left)
-                urn.insert(pos, ball)
-
-    def take_step(steps_left: int) -> None:
-        if steps_left == 0:
-            counts[len(urn)] = counts.get(len(urn), 0) + 1
-            return
-        for ops in programs:
-            run_ops(ops, 0, steps_left - 1)
-
-    take_step(n)
+    fresh = l  # next unused label
+    nodes = 0
+    # Depth first on an explicit stack, so deep searches cannot overflow the
+    # interpreter's.  A walk takes the first branch at each node and stacks
+    # the rest as (ops, idx, steps_left, pos, ball): the node before letter
+    # idx, entered after urn[pos] = ball if pos >= 0.  The branches of a D
+    # withdraw balls 0..m-1 in turn; the urn without ball p-1 holds ball p
+    # at index p-1, so writing ball p-1 there gives the next branch's urn.
+    # A popped 1-tuple undoes: (None,) retires an X's ball, (ball,) returns
+    # ball m-1.
+    stack = [(ops, 0, n - 1, -1, None) for ops in reversed(programs)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        entry = pop()
+        if len(entry) == 1:
+            if entry[0] is None:
+                urn.pop()
+            else:
+                urn.append(entry[0])
+            continue
+        ops, idx, steps_left, pos, ball = entry
+        if pos >= 0:
+            urn[pos] = ball
+        while True:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(budget)
+            if idx == len(ops):
+                if not steps_left:
+                    counts[len(urn)] = counts.get(len(urn), 0) + 1
+                    break
+                steps_left -= 1
+                for other in reversed(programs[1:]):
+                    push((other, 0, steps_left, -1, None))
+                ops, idx = programs[0], 0
+            elif ops[idx] == "X":
+                urn.append(fresh)
+                fresh += 1
+                push((None,))
+                idx += 1
+            elif urn:
+                idx += 1
+                push((urn[-1],))
+                for p in range(len(urn) - 1, 0, -1):
+                    push((ops, idx, steps_left, p - 1, urn[p - 1]))
+                del urn[0]
+            else:
+                break  # a D on an empty urn kills the branch
     return counts
 
 

@@ -5,7 +5,8 @@ variables x and y, and the coefficient table of a normally ordered
 operator sum c[k,l] X^k D^l (x-power <-> X, y-power <-> D).  The
 iteration that turns powers of an operator into such coefficient
 polynomials lives here: one application of the substituted action
-H(X, D+y) advances B_n to B_{n+1}, starting from B_0 = 1.
+H(X, D+y) advances B_n to B_{n+1}, starting from B_0 = 1.  Its kernel,
+act_process, is the only code that applies words to polynomials.
 """
 
 from __future__ import annotations
@@ -176,26 +177,42 @@ class BiPoly:
         return " + ".join(parts)
 
 
-def _times_x(p: BiPoly) -> BiPoly:
-    return BiPoly._raw({(i + 1, j): c for (i, j), c in p.coeffs.items()})
+def compile_process(h: Process) -> tuple[list[tuple[str, int]], int]:
+    """(program, scale) for act_process: each word of h reversed into acting
+    order, paired with its weight times scale = h.weight_scale, an integer."""
+    scale = h.weight_scale
+    return [(word.letters[::-1], int(weight * scale)) for word, weight in h.terms.items()], scale
 
 
-def _times_y(p: BiPoly) -> BiPoly:
-    return BiPoly._raw({(i, j + 1): c for (i, j), c in p.coeffs.items()})
+def act_process(program: list[tuple[str, int]], coeffs: dict, shift: bool = False) -> dict:
+    """Apply a compiled process once to the sparse polynomial {(i, j): c}.
+
+    Letters act in turn: X takes x^i y^j to x^(i+1) y^j, D takes it to
+    i x^(i-1) y^j, plus x^i y^(j+1) when `shift` selects H(X, D+y).  With
+    integer weights, integer input stays integer: the result is scale times
+    the action of the process.  Zero coefficients are dropped.
+    """
+    out: dict = {}
+    for letters, weight in program:
+        cur = coeffs
+        for gen in letters:
+            if gen == "X":
+                cur = {(i + 1, j): c for (i, j), c in cur.items()}
+            elif shift:
+                nxt = {(i, j + 1): c for (i, j), c in cur.items()}
+                for (i, j), c in cur.items():
+                    if i:
+                        nxt[i - 1, j] = nxt.get((i - 1, j), 0) + i * c
+                cur = nxt
+            else:
+                cur = {(i - 1, j): i * c for (i, j), c in cur.items() if i}
+        for key, c in cur.items():
+            out[key] = out.get(key, 0) + weight * c
+    return {key: c for key, c in out.items() if c}
 
 
-def _apply_word(letters: str, p: BiPoly, shift: bool) -> BiPoly:
-    # rightmost generator acts first; X multiplies by x, D differentiates
-    # (plus a multiplication by y when the action is the shifted one)
-    q = p
-    for gen in reversed(letters):
-        if gen == "X":
-            q = _times_x(q)
-        elif shift:
-            q = q.diff_x() + _times_y(q)
-        else:
-            q = q.diff_x()
-    return q
+def _over(coeffs: dict, denominator: int) -> BiPoly:
+    return BiPoly._raw({key: Fraction(c, denominator) for key, c in coeffs.items()})
 
 
 def apply_shifted(h: Process, p: BiPoly) -> BiPoly:
@@ -203,36 +220,32 @@ def apply_shifted(h: Process, p: BiPoly) -> BiPoly:
 
     Linear in both arguments; one application advances B_n to B_{n+1}.
     """
-    out = BiPoly.zero()
-    for word, weight in h.terms.items():
-        out = out + weight * _apply_word(word.letters, p, shift=True)
-    return out
+    program, scale = compile_process(h)
+    return _over(act_process(program, p.coeffs, shift=True), scale)
 
 
 def apply_operator(h: Process, p: BiPoly) -> BiPoly:
     """Apply H(X, D) to p with D = d/dx; y is inert."""
-    out = BiPoly.zero()
-    for word, weight in h.terms.items():
-        out = out + weight * _apply_word(word.letters, p, shift=False)
-    return out
+    program, scale = compile_process(h)
+    return _over(act_process(program, p.coeffs), scale)
 
 
 def bn_sequence(h: Process, n_max: int) -> list[BiPoly]:
     """[B_0, ..., B_{n_max}] with B_0 = 1 and B_{n+1} = H(X, D+y) B_n.
 
     The (k, l) coefficient of B_n equals the X^k D^l coefficient of the
-    normal form of the n-th power of h.
+    normal form of the n-th power of h.  The iteration runs on integers,
+    scale^n times B_n, and divides once per returned term.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    program, scale = compile_process(h)
     seq = [BiPoly.one()]
-    for _ in range(n_max):
-        seq.append(apply_shifted(h, seq[-1]))
+    cur = {(0, 0): 1}
+    for n in range(1, n_max + 1):
+        cur = act_process(program, cur, shift=True)
+        seq.append(_over(cur, scale**n))
     return seq
-
-
-def _exp_xy(sign: int, m_max: int) -> BiPoly:
-    return BiPoly._raw({(m, m): Fraction(sign**m, factorial(m)) for m in range(m_max + 1)})
 
 
 def conjugate_check(h: Process, n: int, degree_bound: int) -> BiPoly:
@@ -253,7 +266,13 @@ def conjugate_check(h: Process, n: int, degree_bound: int) -> BiPoly:
             f"applications of words up to length {h.max_word_len}"
         )
     m_max = degree_bound // 2
-    series = _exp_xy(1, m_max)
+    m_fact = factorial(m_max)
+    program, scale = compile_process(h)
+    cur = {(m, m): m_fact // factorial(m) for m in range(m_max + 1)}  # m_max! e^(xy)
     for _ in range(n):
-        series = apply_operator(h, series)
-    return (_exp_xy(-1, m_max) * series).restrict_total_degree(guaranteed)
+        cur = act_process(program, cur)
+    series = _over(cur, scale**n * m_fact)
+    exp_minus_xy = BiPoly._raw(
+        {(m, m): Fraction((-1) ** m, factorial(m)) for m in range(m_max + 1)}
+    )
+    return (exp_minus_xy * series).restrict_total_degree(guaranteed)

@@ -9,8 +9,8 @@ from weylurn import (
     BiPoly,
     Process,
     Word,
-    act_normal_form,
-    act_word,
+    apply_operator,
+    count_by_operator,
     double_dot,
     normal_order,
     normal_order_word,
@@ -177,13 +177,10 @@ class TestWeylClosedForm:
 
 
 class TestAction:
-    def test_act_word_matches_oracle(self):
-        w = Word("XXDDDXXXD")
-        for m in range(6):
-            assert act_word(w, {m: 1}) == run_word_on_monomial(w.letters, m)
-
     @given(words, st.integers(0, 6))
     @settings(max_examples=80)
-    def test_normal_form_action(self, w, m):
-        got = act_normal_form(normal_order_word(w), {m: 1})
-        assert got == run_word_on_monomial(w.letters, m)
+    def test_act_word_matches_oracle(self, w, m):
+        expected = run_word_on_monomial(w.letters, m)
+        assert count_by_operator(Process({w: 1}), 1, m) == expected
+        got = apply_operator(Process({w: 1}), BiPoly.monomial(m, 0))
+        assert got.coeffs == {(e, 0): c for e, c in expected.items()}

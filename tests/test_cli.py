@@ -91,6 +91,12 @@ class TestHistories:
         oracle = payload(result)["result"]["oracle"]
         assert oracle == {"agreement": True, "weight_scale": "2"}
 
+    def test_oracle_deep_search(self, runner):
+        # 1500 steps make a search tree 3000 nodes deep
+        result = invoke(runner, "histories", "X", "-n", "1500", "-l", "0", "--oracle")
+        assert result.exit_code == 0
+        assert payload(result)["result"]["oracle"]["agreement"] is True
+
     def test_oracle_budget_exceeded(self, runner):
         result = invoke(runner, "histories", "D X + X D", "-n", "3", "-l", "4", "--oracle", "--budget", "10")
         assert result.exit_code == 5

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,8 @@ XD = Process({Word("XD"): 1})
 
 words = st.text(alphabet="XD", min_size=1, max_size=3).map(Word)
 small_processes = st.dictionaries(words, st.integers(1, 2), min_size=1, max_size=2).map(Process)
+rational_weights = st.builds(Fraction, st.integers(1, 2), st.integers(1, 3))
+rational_processes = st.dictionaries(words, rational_weights, min_size=1, max_size=2).map(Process)
 
 
 class TestCountByOperator:
@@ -86,10 +89,12 @@ class TestCountBySearch:
         with pytest.raises(BudgetExceededError):
             count_by_search(h, 3, 4, budget=50)
 
-    @given(small_processes, st.integers(0, 2), st.integers(0, 3))
+    @given(rational_processes, st.integers(0, 2), st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
     def test_matches_operator_route(self, h, n, l):
-        assert count_by_search(h, n, l) == count_by_operator(h, n, l)
+        s = lcm(*(w.denominator for w in h.terms.values()))
+        expected = {k: c * s**n for k, c in count_by_operator(h, n, l).items()}
+        assert count_by_search(h, n, l, weight_scale=s) == expected
 
 
 class TestNormalFormExtraction:
