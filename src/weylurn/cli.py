@@ -163,6 +163,8 @@ def cmd_histories(expr: str, steps: int, l_range: str, oracle: bool, budget: int
     arguments = {"expr": text, "n": steps, "l": l_range, "oracle": oracle}
     if steps < 0:
         raise click.UsageError("-n must be nonnegative")
+    if budget < 0:
+        raise click.UsageError("--budget must be nonnegative")
     process = _parse_expr(text)
     l_values = _parse_l_range(l_range)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import Process
-from .poly import BiPoly, act_process, as_fraction, compile_process
+from .poly import BiPoly, act_process, as_fraction, box_product, compile_process, exp_xy
 
 __all__ = [
     "BudgetExceededError",
@@ -110,10 +110,13 @@ def count_by_search(
     equals count_by_operator scaled by weight_scale**n.
 
     Raises NonIntegerWeightError if some scaled weight is not an integer
-    and BudgetExceededError when the tree has more than `budget` nodes.
+    and BudgetExceededError when the tree has more than `budget` nodes;
+    a negative budget is a ValueError.
     """
     if n < 0 or l < 0:
         raise ValueError("n and l must be nonnegative")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     scale = as_fraction(weight_scale)
     if scale <= 0 or scale.denominator != 1:
         raise ValueError(f"weight_scale must be a positive integer, got {weight_scale!r}")
@@ -187,21 +190,14 @@ def history_counts_from_normal_form(
 ) -> HistoryTable:
     """History counts from the coefficient polynomial of a power.
 
-    The generating function of an n-step table is b * e^(xy); extracting
-    the x^k y^l coefficient gives G[l->k] = l! * sum_j b[k-j, l-j] / j!.
+    The generating function of an n-step table is b * e^(xy): its x^k y^l
+    coefficient times l! is G[l->k] = l! * sum_j b[k-j, l-j] / j!.
     """
+    g = box_product([(b, exp_xy(min(k_max, l_max)))], k_max, l_max)
     counts: dict[tuple[int, int], object] = {}
-    for l in range(l_max + 1):
-        l_fact = factorial(l)
-        for k in range(k_max + 1):
-            total = Fraction(0)
-            for j in range(min(k, l) + 1):
-                c = b[k - j, l - j]
-                if c:
-                    total += c / factorial(j)
-            total *= l_fact
-            if total:
-                counts[(l, k)] = int(total) if total.denominator == 1 else total
+    for (k, l), c in sorted(g.coeffs.items(), key=lambda t: (t[0][1], t[0][0])):  # row by row
+        c *= factorial(l)
+        counts[(l, k)] = int(c) if c.denominator == 1 else c
     return HistoryTable(counts=counts, n=n)
 
 

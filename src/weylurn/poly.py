@@ -6,7 +6,8 @@ operator sum c[k,l] X^k D^l (x-power <-> X, y-power <-> D).  The
 iteration that turns powers of an operator into such coefficient
 polynomials lives here: one application of the substituted action
 H(X, D+y) advances B_n to B_{n+1}, starting from B_0 = 1.  Its kernel,
-act_process, is the only code that applies words to polynomials.
+act_process, is the only code that applies words to polynomials, and
+box_product is the only loop that multiplies them.
 """
 
 from __future__ import annotations
@@ -121,16 +122,8 @@ class BiPoly:
 
     def __mul__(self, other) -> BiPoly:
         if isinstance(other, BiPoly):
-            out: dict[tuple[int, int], Fraction] = {}
-            for (i1, j1), c1 in self.coeffs.items():
-                for (i2, j2), c2 in other.coeffs.items():
-                    key = (i1 + i2, j1 + j2)
-                    s = out.get(key, _ZERO) + c1 * c2
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-            return BiPoly._raw(out)
+            (x1, y1), (x2, y2) = self._degrees(), other._degrees()
+            return box_product([(self, other)], x1 + x2, y1 + y2)
         c = as_fraction(other)
         if not c:
             return BiPoly.zero()
@@ -146,16 +139,13 @@ class BiPoly:
             out = out * self
         return out
 
-    def diff_x(self) -> BiPoly:
-        """Partial derivative in x, term by term with exact integers."""
-        return BiPoly._raw({(i - 1, j): i * c for (i, j), c in self.coeffs.items() if i})
+    def _degrees(self) -> tuple[int, int]:
+        # largest x- and y-powers: the box that holds every product term
+        xs, ys = zip(*self.coeffs) if self.coeffs else ((0,), (0,))
+        return max(xs), max(ys)
 
     def restrict_total_degree(self, bound: int) -> BiPoly:
         return BiPoly._raw({key: c for key, c in self.coeffs.items() if key[0] + key[1] <= bound})
-
-    def max_total_degree(self) -> int:
-        """Largest i + j over stored monomials, -1 for the zero polynomial."""
-        return max((i + j for i, j in self.coeffs), default=-1)
 
     def __repr__(self) -> str:
         return f"BiPoly({dict(sorted(self.coeffs.items()))!r})"
@@ -175,6 +165,34 @@ class BiPoly:
                 factors.append("y" if j == 1 else f"y^{j}")
             parts.append(" ".join(factors))
         return " + ".join(parts)
+
+
+def box_product(pairs, dx: int, dy: int) -> BiPoly:
+    """Sum of a * b over the BiPoly pairs (a, b), truncated to the box
+    x-degree <= dx, y-degree <= dy.
+
+    A pair of terms whose product lands outside the box is skipped before
+    its coefficients are multiplied, so a truncated product costs only the
+    terms it keeps.  BiPoly.__mul__ is this product over its operands' span.
+    """
+    out: dict[tuple[int, int], Fraction] = {}
+    get = out.get
+    for a, b in pairs:
+        right = b.coeffs.items()
+        for (i1, j1), c1 in a.coeffs.items():
+            room_x, room_y = dx - i1, dy - j1
+            if room_x < 0 or room_y < 0:
+                continue
+            for (i2, j2), c2 in right:
+                if i2 <= room_x and j2 <= room_y:
+                    key = (i1 + i2, j1 + j2)
+                    out[key] = get(key, _ZERO) + c1 * c2
+    return BiPoly._raw({key: c for key, c in out.items() if c})
+
+
+def exp_xy(m_max: int, sign: int = 1) -> BiPoly:
+    """e^(sign*xy) up to x^m_max y^m_max: the terms sign^m x^m y^m / m!."""
+    return BiPoly._raw({(m, m): Fraction(sign**m, factorial(m)) for m in range(m_max + 1)})
 
 
 def compile_process(h: Process) -> tuple[list[tuple[str, int]], int]:
@@ -268,11 +286,9 @@ def conjugate_check(h: Process, n: int, degree_bound: int) -> BiPoly:
     m_max = degree_bound // 2
     m_fact = factorial(m_max)
     program, scale = compile_process(h)
-    cur = {(m, m): m_fact // factorial(m) for m in range(m_max + 1)}  # m_max! e^(xy)
+    cur = {key: int(c * m_fact) for key, c in exp_xy(m_max).coeffs.items()}  # m_max! e^(xy)
     for _ in range(n):
         cur = act_process(program, cur)
     series = _over(cur, scale**n * m_fact)
-    exp_minus_xy = BiPoly._raw(
-        {(m, m): Fraction((-1) ** m, factorial(m)) for m in range(m_max + 1)}
-    )
-    return (exp_minus_xy * series).restrict_total_degree(guaranteed)
+    product = box_product([(exp_xy(m_max, -1), series)], guaranteed, guaranteed)
+    return product.restrict_total_degree(guaranteed)

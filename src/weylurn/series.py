@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .poly import BiPoly, apply_shifted, as_fraction, bn_sequence
+from .poly import BiPoly, apply_shifted, as_fraction, bn_sequence, box_product, exp_xy
 
 __all__ = [
     "LambdaSeries",
@@ -72,107 +72,90 @@ def pde_residual(h, s: LambdaSeries) -> LambdaSeries:
 class TriSeries:
     """Sparse exact series slice in x, y and the step variable t.
 
-    Stored coefficients (i, j, n) -> Fraction are exact on the box
-    0 <= i <= dx, 0 <= j <= dy, 0 <= n <= n_max.  Because exponents only
-    add, sums and products of exact slices stay exact on the intersected
-    box; anything outside is dropped.
+    Slice n is the BiPoly coefficient of t^n, for 0 <= n <= n_max; every
+    slice holds only x-degrees <= dx and y-degrees <= dy, the box on which
+    the series is exact.  Because exponents only add, sums and products of
+    exact series stay exact on the intersected box; anything outside is
+    dropped.
     """
 
-    __slots__ = ("dx", "dy", "n_max", "coeffs")
+    __slots__ = ("dx", "dy", "slices")
 
     def __init__(self, dx: int, dy: int, n_max: int, coeffs=None):
         if dx < 0 or dy < 0 or n_max < 0:
             raise ValueError("bounds must be nonnegative")
-        self.dx, self.dy, self.n_max = int(dx), int(dy), int(n_max)
-        acc: dict[tuple[int, int, int], Fraction] = {}
+        self.dx, self.dy = int(dx), int(dy)
+        parts: list[list] = [[] for _ in range(int(n_max) + 1)]
         if coeffs:
             items = coeffs.items() if isinstance(coeffs, dict) else coeffs
             for (i, j, n), value in items:
                 if i < 0 or j < 0 or n < 0:
                     raise ValueError(f"negative index in key ({i}, {j}, {n})")
-                if i > self.dx or j > self.dy or n > self.n_max:
-                    continue  # outside the exact box: truncated away
-                key = (int(i), int(j), int(n))
-                acc[key] = acc.get(key, _ZERO) + as_fraction(value)
-        self.coeffs = {key: c for key, c in acc.items() if c}
+                if i <= self.dx and j <= self.dy and n <= n_max:  # else truncated away
+                    parts[int(n)].append(((i, j), value))
+        self.slices = tuple(BiPoly(part) for part in parts)
 
     @classmethod
-    def _raw(cls, dx, dy, n_max, coeffs) -> TriSeries:
+    def _raw(cls, dx: int, dy: int, slices) -> TriSeries:
         out = cls.__new__(cls)
-        out.dx, out.dy, out.n_max = dx, dy, n_max
-        out.coeffs = coeffs
+        out.dx, out.dy, out.slices = dx, dy, tuple(slices)
         return out
+
+    @property
+    def n_max(self) -> int:
+        return len(self.slices) - 1
 
     @property
     def bounds(self) -> tuple[int, int, int]:
         return (self.dx, self.dy, self.n_max)
 
+    @property
+    def coeffs(self) -> dict[tuple[int, int, int], Fraction]:
+        """The nonzero coefficients keyed (i, j, n), as a new dict."""
+        return {
+            (i, j, n): c for n, part in enumerate(self.slices) for (i, j), c in part.coeffs.items()
+        }
+
     def __getitem__(self, key) -> Fraction:
         i, j, n = key
-        return self.coeffs.get((i, j, n), _ZERO)
+        return self.slices[n][i, j] if 0 <= n < len(self.slices) else _ZERO
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return any(self.slices)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TriSeries):
-            return self.bounds == other.bounds and self.coeffs == other.coeffs
+            return self.bounds == other.bounds and self.slices == other.slices
         return NotImplemented
 
+    def _fitted(self, dx: int, dy: int) -> tuple[BiPoly, ...]:
+        # the slices cut down to a box that is no larger than this one's
+        if dx >= self.dx and dy >= self.dy:
+            return self.slices
+        return tuple(
+            BiPoly._raw({(i, j): c for (i, j), c in part.coeffs.items() if i <= dx and j <= dy})
+            for part in self.slices
+        )
+
     def __add__(self, other: TriSeries) -> TriSeries:
-        dx, dy, n_max = (min(a, b) for a, b in zip(self.bounds, other.bounds))
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for src in (self.coeffs, other.coeffs):
-            for (i, j, n), c in src.items():
-                if i <= dx and j <= dy and n <= n_max:
-                    key = (i, j, n)
-                    s = out.get(key, _ZERO) + c
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-        return TriSeries._raw(dx, dy, n_max, out)
+        dx, dy = min(self.dx, other.dx), min(self.dy, other.dy)
+        pairs = zip(self._fitted(dx, dy), other._fitted(dx, dy))
+        return TriSeries._raw(dx, dy, (a + b for a, b in pairs))
 
     def __mul__(self, other) -> TriSeries:
         if isinstance(other, TriSeries):
-            dx, dy, n_max = (min(a, b) for a, b in zip(self.bounds, other.bounds))
-            out: dict[tuple[int, int, int], Fraction] = {}
-            for (i1, j1, n1), c1 in self.coeffs.items():
-                if i1 > dx or j1 > dy or n1 > n_max:
-                    continue
-                for (i2, j2, n2), c2 in other.coeffs.items():
-                    i, j, n = i1 + i2, j1 + j2, n1 + n2
-                    if i > dx or j > dy or n > n_max:
-                        continue
-                    key = (i, j, n)
-                    s = out.get(key, _ZERO) + c1 * c2
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-            return TriSeries._raw(dx, dy, n_max, out)
+            dx, dy = min(self.dx, other.dx), min(self.dy, other.dy)
+            a, b = self.slices, other.slices
+            # slice n of the product: the sum of a[m] * b[n - m] over nonzero pairs
+            slices = (
+                box_product(((a[m], b[n - m]) for m in range(n + 1) if a[m] and b[n - m]), dx, dy)
+                for n in range(min(len(a), len(b)))
+            )
+            return TriSeries._raw(dx, dy, slices)
         c = as_fraction(other)
-        if not c:
-            return TriSeries._raw(self.dx, self.dy, self.n_max, {})
-        return TriSeries._raw(
-            self.dx, self.dy, self.n_max, {key: c * v for key, v in self.coeffs.items()}
-        )
+        return TriSeries._raw(self.dx, self.dy, (part * c for part in self.slices))
 
     __rmul__ = __mul__
-
-    def restricted(self, dx: int, dy: int, n_max: int) -> TriSeries:
-        """The same series on a smaller exact box."""
-        dx, dy, n_max = min(dx, self.dx), min(dy, self.dy), min(n_max, self.n_max)
-        return TriSeries._raw(
-            dx,
-            dy,
-            n_max,
-            {
-                (i, j, n): c
-                for (i, j, n), c in self.coeffs.items()
-                if i <= dx and j <= dy and n <= n_max
-            },
-        )
 
     def first_mismatch(self, other: TriSeries):
         """Smallest index (ordered by step, then y, then x power) where the
@@ -180,21 +163,19 @@ class TriSeries:
         they agree.  Both slices must cover the same box."""
         if self.bounds != other.bounds:
             raise ValueError(f"boxes differ: {self.bounds} vs {other.bounds}")
-        diffs = [key for key in set(self.coeffs) | set(other.coeffs) if self[key] != other[key]]
-        if not diffs:
-            return None
-        key = min(diffs, key=lambda k: (k[2], k[1], k[0]))
-        return key, self[key], other[key]
+        for n, (a, b) in enumerate(zip(self.slices, other.slices)):
+            diffs = [(j, i) for (i, j) in set(a.coeffs) | set(b.coeffs) if a[i, j] != b[i, j]]
+            if diffs:
+                j, i = min(diffs)
+                return (i, j, n), a[i, j], b[i, j]
+        return None
 
     def __repr__(self) -> str:
         return f"TriSeries(dx={self.dx}, dy={self.dy}, n_max={self.n_max}, {len(self.coeffs)} coeffs)"
 
 
 def _exp_xy(dx: int, dy: int, n_max: int) -> TriSeries:
-    # e^(xy): the m-th term is x^m y^m / m!
-    return TriSeries._raw(
-        dx, dy, n_max, {(m, m, 0): Fraction(1, factorial(m)) for m in range(min(dx, dy) + 1)}
-    )
+    return TriSeries._raw(dx, dy, (exp_xy(min(dx, dy)),) + (BiPoly.zero(),) * n_max)
 
 
 def _exp_scalar_lambda(c: Fraction, dx: int, dy: int, n_max: int) -> TriSeries:
@@ -206,7 +187,7 @@ def _exp_scalar_lambda(c: Fraction, dx: int, dy: int, n_max: int) -> TriSeries:
 
 def _expm1_lambda(dx: int, dy: int, n_max: int) -> TriSeries:
     # e^t - 1
-    return TriSeries._raw(
+    return TriSeries(
         dx, dy, n_max, {(0, 0, n): Fraction(1, factorial(n)) for n in range(1, n_max + 1)}
     )
 
@@ -214,9 +195,9 @@ def _expm1_lambda(dx: int, dy: int, n_max: int) -> TriSeries:
 def _exp_without_constant(s: TriSeries) -> TriSeries:
     """exp of a slice with no t-free part: sum_m s^m / m! is finite on the
     box because every power of s raises the minimum t-degree."""
-    if any(n == 0 for (_, _, n) in s.coeffs):
+    if s.slices[0]:
         raise ValueError("exponent series must have no step-free term")
-    total = TriSeries._raw(s.dx, s.dy, s.n_max, {(0, 0, 0): Fraction(1)})
+    total = TriSeries(s.dx, s.dy, s.n_max, {(0, 0, 0): 1})
     power = total
     for m in range(1, s.n_max + 1):
         power = power * s
@@ -230,13 +211,12 @@ def g_series(h, order: int, dx: int, dy: int) -> TriSeries:
     The coefficient of x^k y^l t^n is G[n, l->k] / (l! n!), so every
     history count in the box can be read off exactly.
     """
-    coeffs: dict[tuple[int, int, int], Fraction] = {}
-    for n, b in enumerate(bn_sequence(h, order)):
-        n_fact = factorial(n)
-        for (i, j), c in b.coeffs.items():
-            if i <= dx and j <= dy:
-                coeffs[(i, j, n)] = c / n_fact
-    return TriSeries._raw(dx, dy, order, coeffs) * _exp_xy(dx, dy, order)
+    exp = exp_xy(min(dx, dy))
+    slices = (
+        box_product([(b, Fraction(1, factorial(n)) * exp)], dx, dy)
+        for n, b in enumerate(bn_sequence(h, order))
+    )
+    return TriSeries._raw(dx, dy, slices)
 
 
 def driven_oscillator_closed_form(g, order: int, dx: int, dy: int) -> TriSeries:

@@ -1,10 +1,11 @@
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from click.testing import CliRunner
 
-from weylurn import cli
+from weylurn import cli, count_by_operator, parse
 from weylurn.cli import main
 
 
@@ -102,6 +103,13 @@ class TestHistories:
         assert result.exit_code == 5
         assert payload(result)["error"]["type"] == "budget-exceeded"
 
+    @pytest.mark.parametrize(
+        "steps, budget, code", [("1", "-1", 2), ("0", "-1", 2), ("0", "0", 0), ("1", "2", 0)]
+    )
+    def test_budget_range(self, runner, steps, budget, code):
+        result = invoke(runner, "histories", "X", "-n", steps, "-l", "0", "--oracle", "--budget", budget)
+        assert result.exit_code == code
+
     def test_oracle_mismatch_exit(self, runner, monkeypatch):
         monkeypatch.setattr(cli, "count_by_search", lambda *a, **k: {99: 1})
         result = invoke(runner, "histories", "X", "-n", "1", "-l", "0", "--oracle")
@@ -163,6 +171,22 @@ class TestSeries:
         result = invoke(runner, "series", "X D", "-N", "1", "--dx", "3", "--dy", "3", "--g-series")
         coeffs = payload(result)["result"]["g_coefficients"]
         assert {"k": 3, "l": 3, "n": 1, "value": "1/2"} in coeffs
+
+    def test_g_series_coefficients(self, runner):
+        expr = "X D + X + D"
+        result = invoke(runner, "series", expr, "-N", "3", "--dx", "4", "--dy", "4", "--g-series")
+        coeffs = payload(result)["result"]["g_coefficients"]
+        keys = [(e["n"], e["l"], e["k"]) for e in coeffs]
+        assert keys == sorted(set(keys))
+        h = parse(expr)
+        expected = {
+            (n, l, k): c / (factorial(l) * factorial(n))
+            for n in range(4)
+            for l in range(5)
+            for k, c in count_by_operator(h, n, l).items()
+            if k <= 4 and c
+        }
+        assert {(e["n"], e["l"], e["k"]): Fraction(e["value"]) for e in coeffs} == expected
 
 
 class TestOscillator:

@@ -89,6 +89,12 @@ class TestCountBySearch:
         with pytest.raises(BudgetExceededError):
             count_by_search(h, 3, 4, budget=50)
 
+    def test_negative_budget(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError):
+                count_by_search(XD, n, 1, budget=-1)
+        assert count_by_search(XD, 0, 1, budget=0) == {1: 1}
+
     @given(rational_processes, st.integers(0, 2), st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
     def test_matches_operator_route(self, h, n, l):

@@ -14,12 +14,17 @@ from weylurn import (
     conjugate_check,
     normal_order,
 )
+from weylurn.poly import box_product
 
 X_ = BiPoly.monomial(1, 0)
 Y_ = BiPoly.monomial(0, 1)
 
 words = st.text(alphabet="XD", max_size=4).map(Word)
 processes = st.dictionaries(words, st.integers(1, 3), min_size=0, max_size=3).map(Process)
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+bipolys = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)), rationals, max_size=6
+).map(BiPoly)
 
 
 # independent oracle for criterion 9: S(n+1, k) = k S(n, k) + S(n, k-1)
@@ -53,19 +58,30 @@ class TestBiPoly:
         assert p - p == 0
         assert (p + 1)[(0, 0)] == 1
 
-    def test_diff_x(self):
-        p = BiPoly({(3, 1): 2, (0, 2): 5})
-        assert p.diff_x() == BiPoly({(2, 1): 6})
-
     def test_restrict_and_degree(self):
         p = BiPoly({(3, 3): 1, (1, 0): 1})
-        assert p.max_total_degree() == 6
         assert p.restrict_total_degree(2) == BiPoly({(1, 0): 1})
-        assert BiPoly.zero().max_total_degree() == -1
 
     def test_str(self):
         assert str(BiPoly({(2, 2): 1, (1, 1): 4, (0, 0): 2})) == "x^2 y^2 + 4 x y + 2"
         assert str(BiPoly.zero()) == "0"
+
+
+class TestBoxProduct:
+    @given(st.lists(st.tuples(bipolys, bipolys), max_size=3), st.integers(0, 8), st.integers(0, 8))
+    @settings(max_examples=80)
+    def test_equals_full_product_then_filter(self, pairs, dx, dy):
+        total = {}
+        for a, b in pairs:
+            full = {}
+            for (i1, j1), c1 in a.coeffs.items():
+                for (i2, j2), c2 in b.coeffs.items():
+                    key = (i1 + i2, j1 + j2)
+                    full[key] = full.get(key, 0) + c1 * c2
+                    total[key] = total.get(key, 0) + c1 * c2
+            assert a * b == BiPoly(full)
+        expected = {key: c for key, c in total.items() if c and key[0] <= dx and key[1] <= dy}
+        assert box_product(pairs, dx, dy).coeffs == expected
 
 
 class TestApplyShifted:

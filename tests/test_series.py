@@ -84,6 +84,20 @@ class TestTriSeries:
         assert prod.bounds == (2, 3, 2)
         assert prod.coeffs == {(2, 1, 1): Fraction(1)}
 
+    def test_add_intersects_bounds(self):
+        a = TriSeries(4, 2, 3, {(4, 0, 0): 1, (1, 1, 1): 2, (0, 0, 3): 1, (2, 2, 0): 1})
+        b = TriSeries(2, 3, 2, {(1, 1, 1): -2, (2, 3, 0): 1, (0, 2, 2): 5})
+        total = a + b
+        assert total.bounds == (2, 2, 2)
+        assert total.coeffs == {(2, 2, 0): Fraction(1), (0, 2, 2): Fraction(5)}
+        assert b + a == total
+
+    def test_getitem_outside_box_is_zero(self):
+        t = TriSeries(1, 1, 1, {(0, 0, 0): 1, (1, 1, 1): 2})
+        assert (t[0, 0, 0], t[1, 1, 1]) == (1, 2)
+        for key in [(2, 0, 0), (0, 2, 1), (0, 0, 2), (1, 1, -1), (0, 0, -2), (-1, 0, 0)]:
+            assert t[key] == 0, key
+
     def test_first_mismatch_ordering(self):
         a = TriSeries(2, 2, 2, {(0, 0, 1): 1, (2, 2, 2): 1})
         b = TriSeries(2, 2, 2, {(0, 0, 1): 1, (1, 0, 2): 3})
