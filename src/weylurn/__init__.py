@@ -1,7 +1,8 @@
 """Exact Heisenberg-Weyl normal ordering realized on urn processes.
 
 Words over the generators X (insert a ball) and D (withdraw a ball) form
-weighted processes; the rewrite DX -> XD + 1 computes exact normal forms,
+weighted processes; Weyl contraction over the letter runs of each word,
+the closed form of the rewrite DX -> XD + 1, computes exact normal forms,
 whose coefficient polynomials enumerate urn histories through generating
 functions.  All arithmetic is exact rational.
 """

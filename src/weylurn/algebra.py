@@ -1,5 +1,5 @@
 """Words and weighted processes over the generators X and D, with exact
-normal ordering driven by the rewrite DX -> XD + 1.
+normal ordering by Weyl contraction over the letter runs of a word.
 
 A word is an operator product read left to right, so the rightmost
 generator acts first: Word("XD") applied to an urn first withdraws a
@@ -10,11 +10,12 @@ distinguishable balls can happen m ways, inserting only one way.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from .poly import BiPoly, as_fraction
+from .poly import BiPoly, _over, as_fraction
 
 __all__ = [
     "D",
@@ -24,6 +25,7 @@ __all__ = [
     "X",
     "double_dot",
     "normal_order",
+    "normal_order_powers",
     "normal_order_word",
     "weyl_closed_form",
 ]
@@ -33,6 +35,7 @@ __all__ = [
 NormalForm = BiPoly
 
 _ZERO = Fraction(0)
+_RUNS = re.compile("X+|D+")
 
 
 class Word:
@@ -50,6 +53,13 @@ class Word:
         if letters.strip("XD"):
             raise ValueError(f"word may contain only 'X' and 'D': {letters!r}")
         self.letters = letters
+
+    @classmethod
+    def _raw(cls, letters: str) -> Word:
+        # internal: letters already known to be over 'X'/'D'
+        word = cls.__new__(cls)
+        word.letters = letters
+        return word
 
     def __mul__(self, other: Word) -> Word:
         return Word(self.letters + Word(other).letters)
@@ -115,6 +125,13 @@ class Process:
         self.terms = acc
 
     @classmethod
+    def _raw(cls, terms: dict[Word, Fraction]) -> Process:
+        # internal: trusted terms, every weight a positive Fraction
+        process = cls.__new__(cls)
+        process.terms = terms
+        return process
+
+    @classmethod
     def zero(cls) -> Process:
         return cls()
 
@@ -130,13 +147,16 @@ class Process:
 
     def __mul__(self, other):
         if isinstance(other, Process):
-            # operator product: concatenate words, multiply weights
-            out: dict[Word, Fraction] = {}
+            # operator product: concatenate words, multiply weights; products
+            # of positive weights stay positive, so no term drops out
+            out: dict[str, Fraction] = {}
             for u, cu in self.terms.items():
+                u = u.letters
                 for v, cv in other.terms.items():
-                    w = u * v
-                    out[w] = out.get(w, _ZERO) + cu * cv
-            return Process(out)
+                    w = u + v.letters
+                    c = cu * cv
+                    out[w] = out[w] + c if w in out else c
+            return Process._raw({Word._raw(w): c for w, c in out.items()})
         return Process({w: c * as_fraction(other) for w, c in self.terms.items()})
 
     def __rmul__(self, other) -> Process:
@@ -175,58 +195,94 @@ class Process:
         return max((len(w) for w in self.terms), default=0)
 
 
-def _inversions(letters: str) -> int:
-    # number of (D, X) pairs with the D to the left of the X
-    inv = 0
-    xs_seen = 0
-    for gen in reversed(letters):
-        if gen == "X":
-            xs_seen += 1
+def _times_x_power(nf: dict, c: int) -> dict:
+    """The integer normal form nf = {(k, l): a} times X^c, by the contraction
+    (X^k D^l) X^c = sum_j C(l,j) C(c,j) j! X^(k+c-j) D^(l-j).
+
+    The weight t_j = a C(l,j) C(c,j) j! follows t_(j+1) = t_j (l-j)(c-j) / (j+1),
+    and that division is exact because t_(j+1) is an integer.
+    """
+    out: dict = {}
+    for (k, l), t in nf.items():
+        k += c
+        for j in range(min(l, c) + 1):
+            key = (k - j, l - j)
+            out[key] = out.get(key, 0) + t
+            t = t * (l - j) * (c - j) // (j + 1)
+    return out
+
+
+def _word_form(letters: str) -> dict:
+    # fold the runs left to right: an X-run contracts, a D-run raises l
+    nf = {(0, 0): 1}
+    for run in _RUNS.findall(letters):
+        if run[0] == "X":
+            nf = _times_x_power(nf, len(run))
         else:
-            inv += xs_seen
-    return inv
+            d = len(run)
+            nf = {(k, l + d): a for (k, l), a in nf.items()}
+    return nf
+
+
+def _form_product(a: dict, b: dict) -> dict:
+    # (sum a X^k D^l)(sum b X^k2 D^l2): contract each X^k2, then append D^l2
+    out: dict = {}
+    for (k2, l2), c2 in b.items():
+        for (k, l), c in _times_x_power(a, k2).items():
+            key = (k, l + l2)
+            out[key] = out.get(key, 0) + c * c2
+    return out
+
+
+def _scaled_form(p: Process) -> tuple[dict, int]:
+    # (scale times the normal form of p as integers, scale = p.weight_scale)
+    scale = p.weight_scale
+    acc: dict = {}
+    for word, weight in p.terms.items():
+        w = weight.numerator * (scale // weight.denominator)
+        for key, c in _word_form(word.letters).items():
+            acc[key] = acc.get(key, 0) + w * c
+    return acc, scale
 
 
 def normal_order_word(w: Word) -> NormalForm:
-    """Normal form of a single word via the rewrite DX -> XD + 1.
+    """Normal form of a single word by Weyl contraction over its letter runs.
 
-    A worklist rewrites the leftmost DX adjacency of each pending word into
-    the swapped word plus the word with the pair deleted.  Every rewrite
-    strictly lowers the number of (D, X) inversions, so this terminates in
-    the unique form sum c[k,l] X^k D^l; the c are nonnegative integers and
-    every key satisfies k - l = excess(w).  Pending words are bucketed by
-    inversion count and drained top-down, so each distinct word is rewritten
-    once with its accumulated multiplicity.
+    Reading the runs left to right, the running form sum c[k,l] X^k D^l is
+    multiplied by X^c through the contraction identity, or by D^d by
+    raising every l by d.  The c are positive integers and every key
+    satisfies k - l = excess(w).
     """
-    levels: dict[int, dict[str, int]] = {_inversions(w.letters): {w.letters: 1}}
-    out: dict[tuple[int, int], int] = {}
-    while levels:
-        top = max(levels)
-        bucket = levels.pop(top)
-        if top == 0:
-            # inversion-free words are already X^k D^l
-            for letters, mult in bucket.items():
-                key = (letters.count("X"), letters.count("D"))
-                out[key] = out.get(key, 0) + mult
-            continue
-        for letters, mult in bucket.items():
-            cut = letters.find("DX")
-            swapped = letters[:cut] + "XD" + letters[cut + 2 :]
-            dropped = letters[:cut] + letters[cut + 2 :]
-            sub = levels.setdefault(top - 1, {})
-            sub[swapped] = sub.get(swapped, 0) + mult
-            sub = levels.setdefault(_inversions(dropped), {})
-            sub[dropped] = sub.get(dropped, 0) + mult
-    return BiPoly(out)
+    return _over(_word_form(w.letters), 1)
 
 
 def normal_order(p: Process) -> NormalForm:
-    """Linear extension of normal_order_word to weighted sums of words."""
-    acc: dict[tuple[int, int], Fraction] = {}
-    for word, weight in p.terms.items():
-        for key, c in normal_order_word(word).coeffs.items():
-            acc[key] = acc.get(key, _ZERO) + weight * c
-    return BiPoly(acc)
+    """Linear extension of normal_order_word to weighted sums of words.
+
+    The word forms are summed on integers, with weights scaled by
+    p.weight_scale, and divided by it once at the end.
+    """
+    acc, scale = _scaled_form(p)
+    return _over(acc, scale)
+
+
+def normal_order_powers(h: Process, n_max: int) -> list[NormalForm]:
+    """[NF(h^0), ..., NF(h^n_max)], each the normal-form product of the one
+    before and NF(h).
+
+    The product is the contraction of normal_order_word, so this route to
+    the power coefficient polynomials B_n never applies an operator to a
+    polynomial, unlike poly.bn_sequence.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    nf, scale = _scaled_form(h)
+    power = {(0, 0): 1}
+    out = [_over(power, 1)]
+    for n in range(1, n_max + 1):
+        power = _form_product(power, nf)
+        out.append(_over(power, scale**n))
+    return out
 
 
 def double_dot(p: Process) -> NormalForm:
@@ -243,7 +299,8 @@ def double_dot(p: Process) -> NormalForm:
 
 
 def weyl_closed_form(l: int, k: int) -> NormalForm:
-    """Closed-form normal order of D^l X^k, independent of the rewriter:
+    """Closed-form normal order of D^l X^k from binomials and factorials,
+    a cross-check of the contraction recurrence in normal_order_word:
     sum_j C(l,j) C(k,j) j!  at key (k-j, l-j)."""
     return BiPoly(
         {(k - j, l - j): comb(l, j) * comb(k, j) * factorial(j) for j in range(min(k, l) + 1)}

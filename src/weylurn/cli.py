@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import click
 
-from .algebra import Process, Word, normal_order
+from .algebra import Process, Word, normal_order, normal_order_powers
 from .histories import (
     BudgetExceededError,
     DEFAULT_SEARCH_BUDGET,
@@ -30,7 +30,13 @@ from .histories import (
     probabilities,
 )
 from .parser import ExprSyntaxError, parse
-from .series import b_series, driven_oscillator_closed_form, g_series, pde_residual
+from .series import (
+    LambdaSeries,
+    b_series,
+    driven_oscillator_closed_form,
+    g_series,
+    pde_residual,
+)
 
 SCHEMA_VERSION = "1"
 FORMAT_ENV_VAR = "WEYLURN_FORMAT"
@@ -272,7 +278,10 @@ def cmd_series(
         ],
     }
     if check_pde:
-        result["pde_residual_zero"] = pde_residual(process, series).is_zero()
+        # the residual applies the action kernel that built series, so it is
+        # taken of the series of normal-form products, which never runs it
+        powers = LambdaSeries(tuple(normal_order_powers(process, order)))
+        result["pde_residual_zero"] = pde_residual(process, powers).is_zero()
     if with_g:
         g = g_series(process, order, dx, dy)
         result["g_coefficients"] = [

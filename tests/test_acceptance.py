@@ -116,7 +116,7 @@ def test_c06_conjugation_identity():
 
 
 def test_c07_pde_residual_vanishes():
-    # the series comes from the rewriter, not from the recurrence being checked
+    # the series comes from normal ordering, not from the recurrence being checked
     for text in H_SET:
         h = parse(text)
         series = LambdaSeries(tuple(normal_order(h**n) for n in range(7)))

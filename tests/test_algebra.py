@@ -1,9 +1,11 @@
 from fractions import Fraction
-from math import perm
+from itertools import product
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rewrite_oracle import rewrite_normal_order
 
 from weylurn import (
     BiPoly,
@@ -14,8 +16,10 @@ from weylurn import (
     double_dot,
     normal_order,
     normal_order_word,
+    parse,
     weyl_closed_form,
 )
+from weylurn.algebra import normal_order_powers
 
 
 # independent oracle: run the letters right to left on a single monomial
@@ -43,7 +47,35 @@ def run_normal_form_on_monomial(nf, m):
     return {e: c for e, c in out.items() if c}
 
 
+# independent oracle: every sequence of n words of h, concatenated, with
+# the product of their weights; equal words merge by adding weights
+def naive_power(h, n):
+    out = {}
+    for choice in product(h.terms.items(), repeat=n):
+        letters = "".join(w.letters for w, _ in choice)
+        weight = Fraction(1)
+        for _, c in choice:
+            weight *= c
+        out[letters] = out.get(letters, 0) + weight
+    return out
+
+
+# generalised Stirling numbers of (X^r D^r)^n = sum_k S_rr(n,k) X^k D^k
+# (Blasiak, Penson & Solomon, Phys. Lett. A 309 (2003))
+def stirling_rr(r, n, k):
+    total = sum((-1) ** p * comb(k, p) * perm(p, r) ** n for p in range(r, k + 1))
+    return Fraction((-1) ** k * total, factorial(k))
+
+
+def alternating_runs(first, exponents):
+    other = "D" if first == "X" else "X"
+    return Word("".join((first, other)[i % 2] * e for i, e in enumerate(exponents)))
+
+
 words = st.text(alphabet="XD", max_size=6).map(Word)
+run_words = st.builds(
+    alternating_runs, st.sampled_from("XD"), st.lists(st.integers(1, 8), max_size=6)
+)
 weights = st.fractions(min_value=Fraction(0), max_value=4, max_denominator=4)
 processes = st.dictionaries(words, weights, max_size=3).map(Process)
 
@@ -92,6 +124,13 @@ class TestProcess:
         assert h ** 0 == Process.identity()
         assert h ** 2 == Process({Word("XX"): 1, Word("XD"): 1, Word("DX"): 1, Word("DD"): 1})
 
+    @given(processes, st.integers(0, 4))
+    @settings(max_examples=80)
+    def test_power_matches_naive_expansion(self, h, n):
+        got = h ** n
+        assert {w.letters: c for w, c in got.terms.items()} == naive_power(h, n)
+        assert all(type(c) is Fraction and c > 0 for c in got.terms.values())
+
 
 class TestNormalOrderWord:
     def test_commutator(self):
@@ -103,6 +142,11 @@ class TestNormalOrderWord:
     def test_ddxx(self):
         # frozen from the monomial-action oracle: D^2 X^2 x^l = (l+2)(l+1) x^l
         assert normal_order_word(Word("DDXX")).coeffs == {(2, 2): 1, (1, 1): 4, (0, 0): 2}
+
+    @given(run_words)
+    @settings(max_examples=150)
+    def test_matches_rewrite_oracle_on_runs(self, w):
+        assert normal_order_word(w).coeffs == rewrite_normal_order(w.letters)
 
     @given(words)
     @settings(max_examples=150)
@@ -151,6 +195,22 @@ class TestNormalOrderProcess:
         rhs = a * normal_order(p) + b * normal_order(q)
         assert lhs == rhs
 
+    @pytest.mark.parametrize("r", range(1, 4))
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_generalized_stirling_closed_form(self, r, n):
+        expected = {(k, k): stirling_rr(r, n, k) for k in range(n * r + 2)}
+        got = normal_order(parse(f"X^{r} D^{r}") ** n)
+        assert got.coeffs == {key: c for key, c in expected.items() if c}
+
+    @given(processes, st.integers(0, 4))
+    @settings(max_examples=60)
+    def test_powers_are_normal_forms_of_powers(self, h, n):
+        assert normal_order_powers(h, n) == [normal_order(h ** m) for m in range(n + 1)]
+
+    def test_powers_reject_negative_order(self):
+        with pytest.raises(ValueError):
+            normal_order_powers(Process.identity(), -1)
+
 
 class TestDoubleDot:
     def test_dx(self):
@@ -173,7 +233,7 @@ class TestWeylClosedForm:
     @pytest.mark.parametrize("l", range(9))
     @pytest.mark.parametrize("k", range(9))
     def test_agrees_with_rewriter(self, l, k):
-        assert normal_order_word(Word("D" * l + "X" * k)) == weyl_closed_form(l, k)
+        assert weyl_closed_form(l, k).coeffs == rewrite_normal_order("D" * l + "X" * k)
 
 
 class TestAction:

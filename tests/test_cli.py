@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from click.testing import CliRunner
 
-from weylurn import cli, count_by_operator, parse
+from weylurn import cli, count_by_operator, parse, poly
 from weylurn.cli import main
 
 
@@ -161,6 +161,32 @@ class TestSeries:
     def test_check_pde(self, runner):
         result = invoke(runner, "series", "X D", "-N", "2", "--check-pde")
         assert payload(result)["result"]["pde_residual_zero"] is True
+
+    def test_check_pde_can_fail(self, runner, monkeypatch):
+        # the action kernel with the shifted D's y-term doubled: H(X, D+2y)
+        def doubled_shift(program, coeffs, shift=False):
+            out = {}
+            for letters, weight in program:
+                cur = coeffs
+                for gen in letters:
+                    if gen == "X":
+                        cur = {(i + 1, j): c for (i, j), c in cur.items()}
+                    elif shift:
+                        nxt = {(i, j + 1): 2 * c for (i, j), c in cur.items()}
+                        for (i, j), c in cur.items():
+                            if i:
+                                nxt[i - 1, j] = nxt.get((i - 1, j), 0) + i * c
+                        cur = nxt
+                    else:
+                        cur = {(i - 1, j): i * c for (i, j), c in cur.items() if i}
+                for key, c in cur.items():
+                    out[key] = out.get(key, 0) + weight * c
+            return {key: c for key, c in out.items() if c}
+
+        monkeypatch.setattr(poly, "act_process", doubled_shift)
+        result = invoke(runner, "series", "X D + X + D", "-N", "4", "--check-pde")
+        assert result.exit_code == 0
+        assert '"pde_residual_zero": false' in result.output
 
     def test_zero_process(self, runner):
         result = invoke(runner, "series", "", "-N", "3")
